@@ -23,10 +23,11 @@
 //! * [`DistObject`] replaces non-scalable symmetric-heap constructs, and
 //!   [`View`] provides zero-copy view-based RPC argument serialization.
 //!
-//! Two interchangeable conduits back the runtime (see the `gasnet` crate):
-//! real threads + shared memory ([`run_spmd`]), and a discrete-event
-//! simulation of a Cray-Aries-like machine ([`SimRuntime`]) that reproduces
-//! the paper's 34816-rank experiments on one laptop core.
+//! Three interchangeable conduits back the runtime (see the `gasnet` crate):
+//! real threads + shared memory ([`run_spmd`]), real OS processes over shared
+//! segments and Unix-domain sockets (`UPCXX_CONDUIT=proc`), and a
+//! discrete-event simulation of a Cray-Aries-like machine ([`SimRuntime`])
+//! that reproduces the paper's 34816-rank experiments on one laptop core.
 //!
 //! ## Quick taste (smp conduit)
 //!

@@ -102,13 +102,7 @@ unsafe impl<T: Pod, const N: usize> Pod for [T; N] {}
 /// Copy a `Pod` slice to raw bytes (native endianness: both "ends" are the
 /// same process in this reproduction, as on a homogeneous Cray system).
 pub fn pod_to_bytes<T: Pod>(src: &[T]) -> Vec<u8> {
-    let len = std::mem::size_of_val(src);
-    let mut out = vec![0u8; len];
-    // SAFETY: Pod guarantees plain bytes; sizes match by construction.
-    unsafe {
-        std::ptr::copy_nonoverlapping(src.as_ptr() as *const u8, out.as_mut_ptr(), len);
-    }
-    out
+    pod_as_bytes(src).to_vec()
 }
 
 /// Reconstruct a `Pod` vector from raw bytes (length must divide evenly).
@@ -202,6 +196,20 @@ impl Reader {
         at
     }
 
+    /// Consume `n` elements of `size` bytes each, returning their byte range.
+    /// A length prefix too large to describe any buffer is a truncated
+    /// message, not an arithmetic overflow.
+    fn take_elems(&mut self, n: usize, size: usize) -> std::ops::Range<usize> {
+        let bytes = n.checked_mul(size).unwrap_or_else(|| {
+            panic!(
+                "message truncated: need {n} x {size} bytes, have {}",
+                self.remaining()
+            )
+        });
+        let at = self.take(bytes);
+        at..at + bytes
+    }
+
     /// Read a little-endian fixed-size array.
     fn read_arr<const N: usize>(&mut self) -> [u8; N] {
         let at = self.take(N);
@@ -234,8 +242,38 @@ pub trait Ser: Sized + 'static {
         self.ser(&mut tmp);
         tmp.len()
     }
+    /// Append the encodings of `items` back to back — the body of a
+    /// `Vec<Self>` after its length prefix. Primitives override this with one
+    /// copy of the same bytes.
+    fn ser_slice(items: &[Self], out: &mut Vec<u8>) {
+        ser_each(items, out);
+    }
+    /// Decode `n` values written by [`Ser::ser_slice`].
+    fn deser_vec(r: &mut Reader, n: usize) -> Vec<Self> {
+        deser_each(r, n)
+    }
 }
 
+fn ser_each<T: Ser>(items: &[T], out: &mut Vec<u8>) {
+    for v in items {
+        v.ser(out);
+    }
+}
+
+fn deser_each<T: Ser>(r: &mut Reader, n: usize) -> Vec<T> {
+    // `n` comes off the wire: reserve no more than the message could hold,
+    // so a corrupt prefix fails as truncated rather than as an allocation.
+    let mut v = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        v.push(T::deser(r));
+    }
+    v
+}
+
+// A primitive's encoding is its little-endian bytes, so on little-endian
+// targets a slice of them encodes as its own memory: one copy each way.
+// `bool` and `usize` keep the per-element loop — not every byte is a valid
+// `bool`, and a `usize` always travels as a `u64`.
 macro_rules! ser_prim {
     ($($t:ty),*) => {$(
         impl Ser for $t {
@@ -247,6 +285,21 @@ macro_rules! ser_prim {
             }
             fn ser_size(&self) -> usize {
                 std::mem::size_of::<$t>()
+            }
+            fn ser_slice(items: &[Self], out: &mut Vec<u8>) {
+                if cfg!(target_endian = "little") {
+                    out.extend_from_slice(pod_as_bytes(items));
+                } else {
+                    ser_each(items, out);
+                }
+            }
+            fn deser_vec(r: &mut Reader, n: usize) -> Vec<Self> {
+                if cfg!(target_endian = "little") {
+                    let at = r.take_elems(n, std::mem::size_of::<$t>());
+                    pod_from_bytes(&r.buf[at])
+                } else {
+                    deser_each(r, n)
+                }
             }
         }
     )*};
@@ -304,13 +357,11 @@ impl Ser for String {
 impl<T: Ser> Ser for Vec<T> {
     fn ser(&self, out: &mut Vec<u8>) {
         (self.len() as u64).ser(out);
-        for v in self {
-            v.ser(out);
-        }
+        T::ser_slice(self, out);
     }
     fn deser(r: &mut Reader) -> Self {
         let n = u64::deser(r) as usize;
-        (0..n).map(|_| T::deser(r)).collect()
+        T::deser_vec(r, n)
     }
     fn ser_size(&self) -> usize {
         8 + self.iter().map(Ser::ser_size).sum::<usize>()
@@ -342,13 +393,14 @@ impl<T: Ser> Ser for Option<T> {
 
 impl<T: Pod + 'static, const N: usize> Ser for [T; N] {
     fn ser(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&pod_to_bytes(self));
+        out.extend_from_slice(pod_as_bytes(self));
     }
     fn deser(r: &mut Reader) -> Self {
-        let bytes = N * std::mem::size_of::<T>();
-        let at = r.take(bytes);
-        let v = pod_from_bytes::<T>(&r.buf[at..at + bytes]);
-        v.try_into().map_err(|_| ()).expect("array length mismatch")
+        let at = r.take(std::mem::size_of::<Self>());
+        // SAFETY: `take` checked that `size_of::<Self>()` bytes follow `at`;
+        // Pod tolerates any previously-written bit pattern; read_unaligned
+        // handles arbitrary source alignment.
+        unsafe { (r.buf.as_ptr().add(at) as *const Self).read_unaligned() }
     }
     fn ser_size(&self) -> usize {
         N * std::mem::size_of::<T>()
@@ -443,7 +495,7 @@ impl<T: Pod> View<T> {
 
     /// Copy out into an owned vector.
     pub fn to_vec(&self) -> Vec<T> {
-        self.iter().collect()
+        pod_from_bytes(&self.buf[self.off..self.off + self.len * std::mem::size_of::<T>()])
     }
 }
 
@@ -455,12 +507,11 @@ impl<T: Pod> Ser for View<T> {
     }
     fn deser(r: &mut Reader) -> Self {
         let len = u64::deser(r) as usize;
-        let bytes = len * std::mem::size_of::<T>();
-        let at = r.take(bytes);
+        let at = r.take_elems(len, std::mem::size_of::<T>());
         // Zero-copy: share the reader's buffer.
         View {
             buf: r.buf.clone(),
-            off: at,
+            off: at.start,
             len,
             _pd: std::marker::PhantomData,
         }
@@ -611,6 +662,124 @@ mod tests {
         let v = make_view(&[0u64; 13]);
         assert_eq!(v.ser_size(), 8 + 13 * 8);
         assert_eq!(to_bytes(&v).len(), v.ser_size());
+    }
+
+    /// `v`'s bytes must equal `want` — the element-by-element little-endian
+    /// encoding — and decode back to `v`.
+    fn golden<T: Ser + PartialEq + std::fmt::Debug>(v: T, want: Vec<u8>) {
+        assert_eq!(to_bytes(&v), want, "wire bytes changed for {v:?}");
+        roundtrip(v);
+    }
+
+    fn le_len(n: usize) -> Vec<u8> {
+        (n as u64).to_le_bytes().to_vec()
+    }
+
+    /// A sequence encoded element by element: the u64 length prefix, then
+    /// each element's little-endian bytes.
+    fn le_seq<T: Copy, const W: usize>(items: &[T], le: fn(T) -> [u8; W]) -> Vec<u8> {
+        let mut g = le_len(items.len());
+        items.iter().for_each(|&x| g.extend_from_slice(&le(x)));
+        g
+    }
+
+    #[test]
+    fn primitive_sequences_keep_their_wire_bytes() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        golden(bytes.clone(), [le_len(256), bytes.clone()].concat());
+        golden(Vec::<u8>::new(), le_len(0));
+
+        let shorts = vec![-1i16, 0, 0x1234, i16::MIN];
+        golden(shorts.clone(), le_seq(&shorts, i16::to_le_bytes));
+        let words = vec![0xdead_beefu32, 1, u32::MAX];
+        golden(words.clone(), le_seq(&words, u32::to_le_bytes));
+        let floats = vec![1.5f64, -0.0, f64::MAX, 1e-300];
+        golden(floats.clone(), le_seq(&floats, f64::to_le_bytes));
+
+        golden(
+            Some(vec![7u8, 8]),
+            [vec![1], le_len(2), vec![7, 8]].concat(),
+        );
+        golden(Option::<Vec<u8>>::None, vec![0]);
+        golden(
+            (0x0102_0304_0506_0708u64, vec![9u8, 10, 11]),
+            [
+                0x0102_0304_0506_0708u64.to_le_bytes().to_vec(),
+                le_len(3),
+                vec![9, 10, 11],
+            ]
+            .concat(),
+        );
+        golden(
+            vec![vec![1u8], vec![], vec![2, 3]],
+            [
+                le_len(3),
+                le_len(1),
+                vec![1],
+                le_len(0),
+                le_len(2),
+                vec![2, 3],
+            ]
+            .concat(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated")]
+    fn truncated_byte_vec_panics() {
+        let bytes = to_bytes(&vec![1u8; 100]);
+        let _: Vec<u8> = from_bytes(bytes[..50].to_vec());
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated")]
+    fn huge_length_prefix_panics_as_truncated() {
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 16]);
+        let _: Vec<u64> = from_bytes(bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated")]
+    fn wrapping_length_prefix_panics_as_truncated() {
+        // (2^61 + 1) * 8 wraps to 8 in 64-bit arithmetic: an unchecked
+        // product would read one element and report a 2^61-element vector.
+        let mut bytes = ((1u64 << 61) + 1).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 8]);
+        let _: Vec<u64> = from_bytes(bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated")]
+    fn huge_length_prefix_panics_as_truncated_for_bytes() {
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 16]);
+        let _: Vec<u8> = from_bytes(bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated")]
+    fn huge_length_prefix_panics_as_truncated_for_bools() {
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[1; 16]);
+        let _: Vec<bool> = from_bytes(bytes);
+    }
+
+    #[test]
+    fn bool_sequences_decode_per_element() {
+        golden(vec![true, false, true], [le_len(3), vec![1, 0, 1]].concat());
+        // Any nonzero byte is `true`: a bulk copy would make an invalid bool.
+        let back: Vec<bool> = from_bytes([le_len(2), vec![2, 0]].concat());
+        assert_eq!(back, vec![true, false]);
+    }
+
+    #[test]
+    fn pod_arrays_and_views_keep_their_wire_bytes() {
+        let arr = [0x0102u16, 0xfffe, 7];
+        let seq = le_seq(&arr, u16::to_le_bytes);
+        golden(arr, seq[8..].to_vec());
+        assert_eq!(to_bytes(&make_view(&arr)), seq);
+        assert_eq!(from_bytes::<View<u16>>(seq).to_vec(), arr);
     }
 
     #[test]

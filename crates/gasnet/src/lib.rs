@@ -4,14 +4,19 @@
 //! two data-movement primitives (§III): one-sided **RMA** (put/get into
 //! remotely allocated shared segments) and **Active Messages** (run a handler
 //! with a payload on a remote process). This crate reproduces that contract
-//! with two interchangeable conduits:
+//! with three interchangeable conduits:
 //!
 //! * [`smp`] — every rank is an OS thread inside one process; shared segments
 //!   are real memory, puts are real one-sided `memcpy`s performed by the
-//!   initiating thread, AMs travel through lock-protected inboxes and run on
-//!   the target thread when it polls. This conduit is *real*: it exercises
-//!   every runtime code path under true concurrency and real time, and backs
-//!   the Criterion microbenchmarks, the examples and most tests.
+//!   initiating thread, AMs travel through lock-free (Treiber-list) MPSC
+//!   inboxes and run on the target thread when it polls. This conduit is
+//!   *real*: it exercises every runtime code path under true concurrency and
+//!   real time, and backs the hand-rolled microbenchmark harness, the
+//!   examples and most tests.
+//!
+//! * [`proc`] — every rank is an OS process; segments are mmap'd shared
+//!   files, so puts stay one-sided `memcpy`s, and AMs travel as serialized
+//!   frames over Unix-domain sockets (large ones rendezvous through shm).
 //!
 //! * [`sim`] — every rank is an actor on a [`pgas_des::Sim`] discrete-event
 //!   loop under virtual time; communication costs come from a
@@ -19,7 +24,7 @@
 //!   paper's *scale*: 34816-rank DHT weak scaling and 2048-rank extend-add
 //!   runs execute on a laptop with faithful contention structure.
 //!
-//! Both conduits share the same vocabulary:
+//! All three conduits share the same vocabulary:
 //!
 //! * a **segment** per rank — a flat byte array remotely addressable by
 //!   `(rank, offset)` pairs (the `upcxx` crate builds `GlobalPtr<T>` and its

@@ -1,7 +1,8 @@
 //! Cross-process DHT insert throughput — the acceptance benchmark for the
 //! proc conduit. Same shape as `dht_kmer_count`'s insert phase: every rank
 //! fire-and-forgets `INSERTS` keyed updates at hash-owned ranks, flushes,
-//! and barriers; rank 0 times the phase and reports aggregate inserts/s.
+//! and waits until every owner has applied what the world issued to it;
+//! rank 0 times the phase and reports aggregate inserts/s.
 //!
 //! Run: `UPCXX_CONDUIT=proc UPCXX_RANKS=4 cargo run --release --example
 //! bench_proc` (drop `UPCXX_CONDUIT` for the smp-conduit comparison point).
@@ -9,11 +10,15 @@
 //! `results/BENCH_proc.json` only when that directory exists (i.e. when run
 //! from the repo root), otherwise it just prints.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const INSERTS: usize = 50_000;
+
+/// How long an owner waits for issued inserts to land before it calls them
+/// lost.
+const DRAIN_LIMIT: Duration = Duration::from_secs(60);
 
 type Table = RefCell<HashMap<u64, u64>>;
 
@@ -21,9 +26,26 @@ fn table() -> std::rc::Rc<Table> {
     upcxx::rank_state::<Table>(|| RefCell::new(HashMap::new()))
 }
 
+/// Owner-side count of applied inserts.
+#[derive(Default)]
+struct Applied(Cell<u64>);
+
+fn applied() -> u64 {
+    upcxx::rank_state::<Applied>(Default::default).0.get()
+}
+
 fn insert(args: (u64, u64)) {
     let (k, v) = args;
     *table().borrow_mut().entry(k).or_insert(0) += v;
+    let a = upcxx::rank_state::<Applied>(Default::default);
+    a.0.set(a.0.get() + 1);
+}
+
+fn add_counts(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x += y;
+    }
+    a
 }
 
 fn total(_: ()) -> u64 {
@@ -51,11 +73,16 @@ fn main() {
             "smp"
         };
 
+        // Inserts this rank issued to each owner, warm-up included.
+        let mut issued = vec![0u64; n];
+
         // Warm-up round so first-connection costs (proc: socket dials) stay
         // out of the timed window.
         for i in 0..1000u64 {
             let k = mix(me as u64 * 1_000_003 + i);
-            upcxx::rpc_ff((k % n as u64) as usize, insert, (k, 0));
+            let owner = (k % n as u64) as usize;
+            upcxx::rpc_ff(owner, insert, (k, 0));
+            issued[owner] += 1;
         }
         upcxx::flush_all();
         upcxx::barrier();
@@ -63,9 +90,17 @@ fn main() {
         let t0 = Instant::now();
         for i in 0..INSERTS as u64 {
             let k = mix(me as u64 * 7_000_007 + i);
-            upcxx::rpc_ff((k % n as u64) as usize, insert, (k, 1));
+            let owner = (k % n as u64) as usize;
+            upcxx::rpc_ff(owner, insert, (k, 1));
+            issued[owner] += 1;
         }
         upcxx::flush_all();
+        // A barrier does not promise that earlier rpc_ffs have run: each
+        // owner waits, making progress, until it has applied every insert
+        // the world issued to it.
+        let expected = upcxx::reduce_all(issued, add_counts).wait()[me];
+        upcxx::wait_until(|| applied() >= expected || t0.elapsed() > DRAIN_LIMIT);
+        assert_eq!(applied(), expected, "lost inserts");
         upcxx::barrier();
         let elapsed = t0.elapsed();
 

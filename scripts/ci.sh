@@ -57,6 +57,9 @@ echo "==> progress-thread pass: full workspace under UPCXX_PROGRESS=1"
 UPCXX_PROGRESS=1 cargo test --workspace -q
 UPCXX_PROGRESS=1 UPCXX_SAN=1 cargo test --workspace -q
 
+echo "==> perfbench unit tests (its own workspace, outside --workspace)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> source lints: legacy grep cross-check of the analyzer's confinement rules"
 # The analyzer is the gate; the original greps stay as an independent
 # cross-check that both report a clean tree (they share no code).
@@ -152,6 +155,9 @@ for n in 2 4; do
   UPCXX_CONDUIT=proc UPCXX_RANKS=$n UPCXX_PROC_TIMEOUT=120 \
     cargo run --release --example dht_kmer_count | sed 's/^/    /'
 done
+# bench_proc checks that every rpc_ff insert landed; on smp it prints only
+# (it writes results/BENCH_proc.json only under proc).
+UPCXX_RANKS=2 cargo run --release --example bench_proc | sed 's/^/    /'
 
 echo "==> metrics smoke: interval dump parses and counters are monotone"
 # The always-on metrics layer's export surface: a quickstart run with a 1 ms
