@@ -42,11 +42,11 @@
 //! it trades latency for throughput, exactly the trade the paper leaves to
 //! the application.
 
-use crate::ctx::{ctx, try_ctx, DefOp, RankCtx};
+use crate::ctx::{ctx, try_ctx, DefOp, FastMap, RankCtx};
 use crate::trace::{FlushReason, OpKind, Phase, TraceTag};
 use crate::wire;
-use gasnet::{Am, Batch, Item, Rank};
-use std::collections::HashMap;
+use gasnet::{Am, Batch, Rank};
+use std::cell::RefCell;
 
 /// Configuration of the per-target aggregation layer (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,18 +86,27 @@ struct TargetBuf {
 /// Per-rank aggregation state (lives in [`RankCtx`]).
 pub(crate) struct AggState {
     cfg: AggConfig,
-    bufs: HashMap<Rank, TargetBuf>,
+    /// Non-empty buffers only: a flushed buffer leaves the map.
+    bufs: FastMap<Rank, TargetBuf>,
     /// Targets with non-empty buffers, in first-touch order. Flushing in
     /// this deterministic order (never HashMap iteration order) keeps sim
     /// runs reproducible.
     order: Vec<Rank>,
 }
 
+thread_local! {
+    /// The last buffer flushed on this thread, emptied but keeping its
+    /// capacity; the next target to buffer starts from it. One per thread,
+    /// not one per target (nor per rank: sim ranks share a thread), so a
+    /// rank that talks to thousands of peers retains no buffers at all.
+    static SPARE: RefCell<TargetBuf> = RefCell::new(TargetBuf::default());
+}
+
 impl AggState {
     pub(crate) fn new() -> AggState {
         AggState {
             cfg: AggConfig::default(),
-            bufs: HashMap::new(),
+            bufs: FastMap::default(),
             order: Vec::new(),
         }
     }
@@ -130,20 +139,24 @@ pub(crate) fn submit(c: &RankCtx, target: Rank, payload: usize, am: Am, tag: Tra
     }
     // Would this record push the queued batch over the threshold? Ship what
     // is queued first, so no batch ever exceeds `max_bytes`.
-    let would_overflow =
-        c.agg.borrow().bufs.get(&target).is_some_and(|b| {
-            !b.items.is_empty() && wire::RPC_HDR + b.rec_bytes + rec > cfg.max_bytes
-        });
+    let would_overflow = c
+        .agg
+        .borrow()
+        .bufs
+        .get(&target)
+        .is_some_and(|b| wire::RPC_HDR + b.rec_bytes + rec > cfg.max_bytes);
     if would_overflow {
         flush_target(c, target, FlushReason::Threshold);
     }
     let full = {
         let mut st = c.agg.borrow_mut();
-        // Invariant: `order` lists exactly the targets with non-empty bufs.
-        if st.bufs.get(&target).is_none_or(|b| b.items.is_empty()) {
-            st.order.push(target);
-        }
-        let buf = st.bufs.entry(target).or_default();
+        let AggState { bufs, order, .. } = &mut *st;
+        // Invariant: `order` lists exactly the targets in `bufs`, whose
+        // buffers are never empty.
+        let buf = bufs.entry(target).or_insert_with(|| {
+            order.push(target);
+            SPARE.with(|s| std::mem::take(&mut *s.borrow_mut()))
+        });
         buf.items.push(am);
         buf.tags.push(tag);
         buf.rec_bytes += rec;
@@ -176,28 +189,27 @@ fn inject_single(c: &RankCtx, target: Rank, payload: usize, am: Am, tag: TraceTa
 /// `Inject`/`Conduit` at the source (carrying `reason`), `Deliver`/`Complete`
 /// bracketing the member executions at the target.
 pub(crate) fn flush_target(c: &RankCtx, target: Rank, reason: FlushReason) {
-    let buf = {
+    let mut buf = {
         let mut st = c.agg.borrow_mut();
-        if st.bufs.get(&target).is_none_or(|b| b.items.is_empty()) {
+        let Some(buf) = st.bufs.remove(&target) else {
             return;
-        }
+        };
         st.order.retain(|&t| t != target);
-        st.bufs.remove(&target).unwrap()
+        buf
     };
-    let TargetBuf {
-        mut items,
-        tags,
-        rec_bytes,
-    } = buf;
     // A non-empty buffer is actually leaving: count the flush by reason
     // (a one-item buffer still counts — the *flush* happened; it merely
     // degenerates to a plain AM on the wire).
     crate::metrics::count_flush(c, reason);
-    if items.len() == 1 {
-        let payload = rec_bytes - wire::AGG_REC_HDR;
-        inject_single(c, target, payload, items.pop().unwrap(), tags[0]);
+    if buf.items.len() == 1 {
+        let payload = buf.rec_bytes - wire::AGG_REC_HDR;
+        let am = buf.items.pop().expect("one buffered item");
+        let tag = buf.tags[0];
+        keep_spare(buf);
+        inject_single(c, target, payload, am, tag);
         return;
     }
+    let rec_bytes = buf.rec_bytes;
     let wire_bytes = wire::RPC_HDR + rec_bytes;
     // The batch gets an id unconditionally (its target may be tracing even
     // when this rank is not); emission below gates on this rank's config.
@@ -207,7 +219,7 @@ pub(crate) fn flush_target(c: &RankCtx, target: Rank, reason: FlushReason) {
     if c.trace_on.get() {
         // The members leave the coalescing buffer here: this is their
         // defQ -> conduit hand-off, stamped with why the flush happened.
-        for t in &tags {
+        for t in &buf.tags {
             c.emit_from(Phase::Conduit, *t, c.me as u32, reason);
         }
         c.emit_from(Phase::Inject, batch_tag, c.me as u32, reason);
@@ -218,40 +230,14 @@ pub(crate) fn flush_target(c: &RankCtx, target: Rank, reason: FlushReason) {
         // them into one container whose decoder reproduces the same
         // Deliver / members / Complete / ItemTail bracket built below for
         // closure mode (see `crate::frame::exec_frame_sink`).
-        let members: Vec<Vec<u8>> = items
-            .into_iter()
-            .map(|am| match am {
-                Am::Frame(f) => f,
-                Am::Item(_) => unreachable!("closure AM buffered on a frame-mode conduit"),
-            })
-            .collect();
-        Batch::Frame(crate::frame::encode_batch(&members, batch_tag, origin))
+        Batch::Frame(crate::frame::encode_batch(&buf.items, batch_tag, origin))
     } else {
-        // Bracket the member executions with the batch's target-side events.
-        let mut batched: Vec<Item> = Vec::with_capacity(items.len() + 3);
-        batched.push(Box::new(move || {
-            if let Some(rc) = try_ctx() {
-                rc.emit_from(Phase::Deliver, batch_tag, origin, FlushReason::None);
-            }
-        }));
-        for am in items {
-            match am {
-                Am::Item(item) => batched.push(item),
-                Am::Frame(_) => unreachable!("frame AM buffered on a closure-mode conduit"),
-            }
-        }
-        batched.push(Box::new(move || {
-            if let Some(rc) = try_ctx() {
-                rc.emit_from(Phase::Complete, batch_tag, origin, FlushReason::None);
-            }
-        }));
-        batched.push(Box::new(|| {
-            if let Some(rc) = try_ctx() {
-                flush_all_ctx(&rc, FlushReason::ItemTail);
-            }
-        }));
-        Batch::Items(batched)
+        // One item brackets the member executions with the batch's
+        // target-side events; the members travel inside it.
+        let items = std::mem::take(&mut buf.items);
+        Batch::Item(Box::new(move || run_batch(items, batch_tag, origin)))
     };
+    keep_spare(buf);
     c.stats.agg_batches.set(c.stats.agg_batches.get() + 1);
     c.inject(
         DefOp::AmBatch {
@@ -261,6 +247,34 @@ pub(crate) fn flush_target(c: &RankCtx, target: Rank, reason: FlushReason) {
         },
         batch_tag,
     );
+}
+
+/// Target side of a closure-mode batch: the batch's `Deliver`, the members
+/// in order, its `Complete`, then an `ItemTail` flush of whatever the
+/// members buffered (typically replies).
+fn run_batch(items: Vec<Am>, batch_tag: TraceTag, origin: u32) {
+    let rc = try_ctx();
+    if let Some(rc) = &rc {
+        rc.emit_from(Phase::Deliver, batch_tag, origin, FlushReason::None);
+    }
+    for am in items {
+        match am {
+            Am::Item(item) => item(),
+            Am::Frame(_) => unreachable!("frame AM buffered on a closure-mode conduit"),
+        }
+    }
+    if let Some(rc) = &rc {
+        rc.emit_from(Phase::Complete, batch_tag, origin, FlushReason::None);
+        flush_all_ctx(rc, FlushReason::ItemTail);
+    }
+}
+
+/// Keep a flushed (emptied) buffer's capacity as this thread's spare.
+fn keep_spare(mut buf: TargetBuf) {
+    buf.items.clear();
+    buf.tags.clear();
+    buf.rec_bytes = 0;
+    SPARE.with(|s| *s.borrow_mut() = buf);
 }
 
 /// Flush every non-empty buffer of `c`, in first-touch order.

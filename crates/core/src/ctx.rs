@@ -24,13 +24,13 @@
 //!   modeled through CPU-clock serialization on the sim conduit).
 
 use crate::future::Future;
-use crate::ser::Reader;
 use crate::trace::{Phase, TraceEvent, TraceState, TraceTag};
 use gasnet::{sim::SimWorld, Conduit, Rank};
 use netsim::config::SwCosts;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -134,25 +134,61 @@ pub(crate) struct CompItem {
 /// A parked continuation.
 pub(crate) type Thunk = Box<dyn FnOnce()>;
 
-/// A parked RPC-reply continuation (receives the reply payload).
-pub(crate) type ReplyHandler = Box<dyn FnOnce(Reader)>;
+/// A map keyed by runtime-made integers (op ids, ranks, type ids, team ids,
+/// epochs, dist-object ids), hashed with [`MulHasher`].
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
+/// A multiplicative (Fx-style) hasher for maps whose keys the runtime makes
+/// itself: sequence numbers, ranks, type ids and team ids. Nothing outside the
+/// program chooses those keys, so SipHash's resistance to crafted
+/// collisions buys nothing there, while its cost shows on every RPC.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct MulHasher(u64);
+
+impl MulHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        // The product's high bits are the well-mixed ones; the table indexes
+        // buckets by the low bits, which repeat for keys whose own low bits
+        // do (multiples of a power of two).
+        self.0.rotate_left(26)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
 
 /// Per-rank collective-operation state (dissemination barrier, broadcast and
 /// reduction slots). See `coll.rs` for the algorithms.
 #[derive(Default)]
 pub(crate) struct CollState {
     /// Next barrier epoch per team id.
-    pub barrier_epoch: HashMap<u64, u64>,
+    pub barrier_epoch: FastMap<u64, u64>,
     /// Arrived dissemination flags: (team, epoch, round) -> ().
-    pub barrier_flags: HashMap<(u64, u64, u32), ()>,
+    pub barrier_flags: FastMap<(u64, u64, u32), ()>,
     /// Parked barrier continuations keyed like the flags.
-    pub barrier_waiters: HashMap<(u64, u64, u32), Thunk>,
+    pub barrier_waiters: FastMap<(u64, u64, u32), Thunk>,
     /// Next broadcast/reduce sequence number per team id.
-    pub coll_seq: HashMap<u64, u64>,
+    pub coll_seq: FastMap<u64, u64>,
     /// Broadcast slots: (team, seq) -> slot.
-    pub bcast: HashMap<(u64, u64), BcastSlot>,
+    pub bcast: FastMap<(u64, u64), BcastSlot>,
     /// Reduction slots: (team, seq) -> slot.
-    pub reduce: HashMap<(u64, u64), ReduceSlot>,
+    pub reduce: FastMap<(u64, u64), ReduceSlot>,
 }
 
 /// In-flight broadcast state on one rank.
@@ -238,14 +274,15 @@ pub struct RankCtx {
     /// `crate::trace::SpanGuard` around RPC/reply/system-AM handlers; read
     /// by `crate::trace::new_tag` to record causal parentage.
     pub(crate) cur_span: Cell<(u32, u64)>,
-    pub(crate) reply_tbl: RefCell<HashMap<u64, ReplyHandler>>,
+    /// Promises of in-flight RPCs, keyed by op id, awaiting their replies.
+    pub(crate) reply_tbl: RefCell<FastMap<u64, Rc<dyn crate::future::ReplySink>>>,
     pub(crate) dist_next: Cell<u64>,
-    pub(crate) dist_tbl: RefCell<HashMap<u64, Rc<dyn Any>>>,
+    pub(crate) dist_tbl: RefCell<FastMap<u64, Rc<dyn Any>>>,
     /// Continuations parked until a dist-object id is registered (RPCs that
     /// raced ahead of local construction; UPC++ queues these too).
-    pub(crate) dist_waiters: RefCell<HashMap<u64, Vec<Thunk>>>,
+    pub(crate) dist_waiters: RefCell<FastMap<u64, Vec<Thunk>>>,
     pub(crate) coll: RefCell<CollState>,
-    pub(crate) rank_state: RefCell<HashMap<std::any::TypeId, Rc<dyn Any>>>,
+    pub(crate) rank_state: RefCell<FastMap<std::any::TypeId, Rc<dyn Any>>>,
     /// Per-target RPC aggregation buffers (see `crate::agg`).
     pub(crate) agg: RefCell<crate::agg::AggState>,
     /// Statistics counters.
@@ -370,12 +407,12 @@ impl RankCtx {
             active_ops: Cell::new(0),
             next_op: Cell::new(1),
             cur_span: Cell::new((0, 0)),
-            reply_tbl: RefCell::new(HashMap::new()),
+            reply_tbl: RefCell::new(FastMap::default()),
             dist_next: Cell::new(0),
-            dist_tbl: RefCell::new(HashMap::new()),
-            dist_waiters: RefCell::new(HashMap::new()),
+            dist_tbl: RefCell::new(FastMap::default()),
+            dist_waiters: RefCell::new(FastMap::default()),
             coll: RefCell::new(CollState::default()),
-            rank_state: RefCell::new(HashMap::new()),
+            rank_state: RefCell::new(FastMap::default()),
             agg: RefCell::new(crate::agg::AggState::new()),
             stats: CtxStats::default(),
             metrics: crate::metrics::Metrics::new(),
@@ -417,12 +454,12 @@ impl RankCtx {
             active_ops: Cell::new(0),
             next_op: Cell::new(1),
             cur_span: Cell::new((0, 0)),
-            reply_tbl: RefCell::new(HashMap::new()),
+            reply_tbl: RefCell::new(FastMap::default()),
             dist_next: Cell::new(0),
-            dist_tbl: RefCell::new(HashMap::new()),
-            dist_waiters: RefCell::new(HashMap::new()),
+            dist_tbl: RefCell::new(FastMap::default()),
+            dist_waiters: RefCell::new(FastMap::default()),
             coll: RefCell::new(CollState::default()),
-            rank_state: RefCell::new(HashMap::new()),
+            rank_state: RefCell::new(FastMap::default()),
             agg: RefCell::new(crate::agg::AggState::new()),
             stats: CtxStats::default(),
             metrics: crate::metrics::Metrics::new(),
@@ -804,16 +841,12 @@ impl RankCtx {
                 // One injection overhead and one modeled transfer for the
                 // whole batch — the per-message gap amortization that makes
                 // aggregation pay off on the fine-grained path.
-                let gasnet::Batch::Items(items) = batch else {
+                let gasnet::Batch::Item(item) = batch else {
                     unreachable!("sim is an in-process conduit; AMs travel as items")
                 };
                 let sw = &w.config().sw;
                 let o = sw.gex_am_inject + sw.upcxx_op_overhead;
-                let items: Vec<gasnet::sim::LocalItem> = items
-                    .into_iter()
-                    .map(|i| -> gasnet::sim::LocalItem { i })
-                    .collect();
-                w.am_batch(self.me, target, wire_bytes, o, items);
+                w.am(self.me, target, wire_bytes, o, item);
                 self.active_ops.set(self.active_ops.get() - 1);
             }
             (
@@ -1099,6 +1132,9 @@ pub fn progress() {
 /// progress"). Only the smp conduit supports blocking; under sim this
 /// panics unless the predicate is already true. Public so layers above
 /// (e.g. the v0.1 compatibility events) can block on their own conditions.
+///
+/// On smp, if another rank of the world has panicked, the wait panics too
+/// (naming that rank) instead of spinning on a peer that will never answer.
 pub fn wait_until(pred: impl Fn() -> bool) {
     if pred() {
         return;
@@ -1113,12 +1149,20 @@ pub fn wait_until(pred: impl Fn() -> bool) {
         crate::san::restricted_violation(&c, "wait()/barrier()");
     }
     match &c.backend {
-        Backend::Cond(_) => {
+        Backend::Cond(h) => {
             let mut spins: u32 = 0;
             while !pred() {
                 c.progress_user();
                 spins = spins.wrapping_add(1);
                 if spins.is_multiple_of(32) {
+                    // A dead peer may be the one this wait needs: fail the
+                    // wait rather than spin forever.
+                    if let Some(dead) = h.dead_rank() {
+                        panic!(
+                            "upcxx: rank {} cannot finish wait()/barrier(): rank {dead} panicked",
+                            c.me
+                        );
+                    }
                     std::thread::yield_now();
                 }
             }

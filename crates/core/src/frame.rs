@@ -297,14 +297,21 @@ fn decode_single(c: &mut Cur) -> (Tramp, FrameEnv) {
 
 /// Build a batch container from already-encoded member frames (`crate::agg`
 /// frame-mode flush). `batch_tag`/`origin` brand the target-side bracket.
-pub(crate) fn encode_batch(members: &[Vec<u8>], batch_tag: TraceTag, origin: u32) -> Vec<u8> {
-    let total: usize = members.iter().map(|m| 4 + m.len()).sum();
+pub(crate) fn encode_batch(members: &[gasnet::Am], batch_tag: TraceTag, origin: u32) -> Vec<u8> {
+    fn frame(am: &gasnet::Am) -> &[u8] {
+        match am {
+            gasnet::Am::Frame(f) => f,
+            gasnet::Am::Item(_) => unreachable!("closure AM buffered on a frame-mode conduit"),
+        }
+    }
+    let total: usize = members.iter().map(|m| 4 + frame(m).len()).sum();
     let mut out = Vec::with_capacity(48 + total);
     out.push(1u8);
     encode_tag(&mut out, batch_tag);
     out.extend_from_slice(&origin.to_le_bytes());
     out.extend_from_slice(&(members.len() as u32).to_le_bytes());
     for m in members {
+        let m = frame(m);
         out.extend_from_slice(&(m.len() as u32).to_le_bytes());
         out.extend_from_slice(m);
     }
@@ -329,7 +336,7 @@ pub(crate) fn exec_frame_sink(bytes: Vec<u8>) {
 }
 
 /// Run a batch container: the same Deliver/members/Complete/ItemTail
-/// bracket `agg::flush_target` builds in closure mode.
+/// bracket `agg::run_batch` runs in closure mode.
 fn exec_batch(c: &mut Cur) {
     let batch_tag = decode_tag(c);
     let origin = c.u32();

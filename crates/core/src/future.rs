@@ -20,146 +20,278 @@
 //!
 //! `then` callbacks receive the value **by clone** when the future can be
 //! observed again later (UPC++ hands callbacks copies of the encapsulated
-//! values; `T: Clone` is the Rust spelling of that contract).
+//! values; `T: Clone` is the Rust spelling of that contract). When no handle
+//! can observe it any more — the intermediate links of a `then` chain — the
+//! last callback receives the value **by move** instead.
+//!
+//! ## Allocation budget
+//!
+//! A promise and every future viewing it share one `Rc`: the dependency
+//! counter lives beside the value and callback state. A state's first
+//! callback is stored inline, and a fulfillment that has to wait for a
+//! running callback drain is queued as an `Rc` clone, not a boxed job. One
+//! `then` link therefore costs two allocations: its output state and its
+//! boxed callback.
 
-use std::cell::RefCell;
+use crate::ser::{Reader, Ser};
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
+/// A value handed to a callback.
+enum Val<'a, T> {
+    /// Later callbacks or other handles can still observe the value.
+    Shared(&'a T),
+    /// This is the last callback and no handle can observe the value again.
+    Owned(T),
+}
+
+impl<T: Clone> Val<'_, T> {
+    /// The value: moved when this callback owns it, cloned otherwise.
+    fn into_owned(self) -> T {
+        match self {
+            Val::Shared(v) => v.clone(),
+            Val::Owned(v) => v,
+        }
+    }
+}
+
 /// A callback awaiting a future's value.
-type Callback<T> = Box<dyn FnOnce(&T)>;
+type Callback<T> = Box<dyn FnOnce(Val<'_, T>)>;
+
+/// Box `f` as a [`Callback`] (pins the closure's higher-ranked signature).
+fn callback<T>(f: impl FnOnce(Val<'_, T>) + 'static) -> Callback<T> {
+    Box::new(f)
+}
+
+/// Callbacks in attach order. The first is stored inline, so a state with
+/// one callback — every link of a `then` chain — needs no `Vec`.
+struct Callbacks<T> {
+    first: Option<Callback<T>>,
+    rest: Vec<Callback<T>>,
+}
+
+impl<T> Callbacks<T> {
+    const fn new() -> Self {
+        Callbacks {
+            first: None,
+            rest: Vec::new(),
+        }
+    }
+
+    fn one(cb: Callback<T>) -> Self {
+        Callbacks {
+            first: Some(cb),
+            rest: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, cb: Callback<T>) {
+        if self.first.is_none() {
+            self.first = Some(cb);
+        } else {
+            self.rest.push(cb);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    fn into_iter(self) -> impl Iterator<Item = Callback<T>> {
+        self.first.into_iter().chain(self.rest)
+    }
+}
 
 enum State<T> {
-    /// Not ready; holds callbacks awaiting the value.
-    Pending(Vec<Callback<T>>),
-    /// Value available but temporarily moved out while callbacks execute;
-    /// callbacks attached meanwhile queue here and run in the same drain.
-    /// Only observable from *inside* a callback on the same future
+    /// Not ready. `value` holds a result supplied by [`Promise::fulfill`]
+    /// while other dependencies are still outstanding.
+    Pending { cbs: Callbacks<T>, value: Option<T> },
+    /// Value available; its callback drain is queued behind the drain
+    /// running on this thread (see [`Core::schedule`]).
+    Queued { cbs: Callbacks<T>, value: T },
+    /// Value available but moved out while callbacks execute; callbacks
+    /// attached meanwhile queue here and run in the same drain. Only
+    /// observable from *inside* a callback on the same future
     /// (single-threaded runtime).
-    Running(Vec<Callback<T>>),
+    Running(Callbacks<T>),
     /// Value available.
     Ready(T),
 }
 
+/// The state of one promise and every future viewing it.
 struct Core<T> {
+    /// Outstanding dependencies; the value is released when this hits zero.
+    deps: Cell<usize>,
+    finalized: Cell<bool>,
     state: RefCell<State<T>>,
 }
 
+/// A queued callback drain, type-erased so one trampoline queue serves
+/// futures of every value type.
+trait Drain {
+    fn run(self: Rc<Self>);
+}
+
+thread_local! {
+    static DRAIN_DEPTH: Cell<u32> = const { Cell::new(0) };
+    static PENDING: RefCell<Vec<Rc<dyn Drain>>> = const { RefCell::new(Vec::new()) };
+}
+
 impl<T: 'static> Core<T> {
-    fn new_pending() -> Rc<Self> {
+    /// A pending state with the one implicit dependency of a fresh promise
+    /// (for a `then` output, the callback that fulfills it).
+    fn pending() -> Rc<Self> {
         Rc::new(Core {
-            state: RefCell::new(State::Pending(Vec::new())),
+            deps: Cell::new(1),
+            finalized: Cell::new(false),
+            state: RefCell::new(State::Pending {
+                cbs: Callbacks::new(),
+                value: None,
+            }),
         })
     }
 
-    fn new_ready(v: T) -> Rc<Self> {
-        Rc::new(Core {
-            state: RefCell::new(State::Ready(v)),
-        })
+    /// Retire `n` dependencies; the value is released when none remain.
+    fn retire(self: &Rc<Self>, n: usize) {
+        let d = self.deps.get();
+        assert!(d >= n, "fulfilled more dependencies than required");
+        self.deps.set(d - n);
+        if d == n {
+            self.ready();
+        }
     }
 
-    /// Fulfill with trampolining: callback cascades (a `then` chain of depth
-    /// N fulfilling N downstream cores) run iteratively through a
-    /// thread-local pending queue instead of N nested stack frames.
+    /// Supply the value and retire one dependency.
     fn fulfill(self: &Rc<Self>, v: T) {
-        let this = self.clone();
-        trampoline(move || this.fulfill_now(v));
+        if let State::Pending { value, .. } = &mut *self.state.borrow_mut() {
+            assert!(value.is_none(), "promise value supplied twice");
+            *value = Some(v);
+        }
+        // Not pending: already readied, so no dependency is left and
+        // `retire` reports the over-fulfillment.
+        self.retire(1);
     }
 
-    fn fulfill_now(self: &Rc<Self>, v: T) {
-        let cbs = {
+    /// The counter reached zero: hand the supplied value (`()` for unit
+    /// promises) to the callbacks.
+    fn ready(self: &Rc<Self>) {
+        let (v, cbs) = {
             let mut st = self.state.borrow_mut();
-            match &mut *st {
-                State::Ready(_) | State::Running(_) => panic!("future fulfilled twice"),
-                State::Pending(cbs) => {
-                    let cbs = std::mem::take(cbs);
-                    *st = State::Running(Vec::new());
-                    cbs
-                }
-            }
+            let State::Pending { cbs, value } = &mut *st else {
+                unreachable!("dependency counter reached zero twice")
+            };
+            let v = value.take().or_else(unit_default::<T>).expect(
+                "promise dependencies satisfied but no value supplied (non-unit promises need fulfill)",
+            );
+            (v, std::mem::replace(cbs, Callbacks::new()))
         };
-        self.drain(v, cbs);
+        self.schedule(v, cbs);
+    }
+
+    /// Run `cbs` on `v`, trampolined: inside a running drain the work is
+    /// queued for the outermost drain on this thread, which runs the queue
+    /// to empty, so callback cascades (a `then` chain of depth N fulfilling
+    /// N downstream states) complete in constant stack depth.
+    fn schedule(self: &Rc<Self>, v: T, cbs: Callbacks<T>) {
+        if DRAIN_DEPTH.with(Cell::get) > 0 {
+            *self.state.borrow_mut() = State::Queued { cbs, value: v };
+            PENDING.with(|p| p.borrow_mut().push(self.clone()));
+            return;
+        }
+        *self.state.borrow_mut() = State::Running(Callbacks::new());
+        struct Depth;
+        impl Drop for Depth {
+            fn drop(&mut self) {
+                DRAIN_DEPTH.with(|d| d.set(d.get() - 1));
+            }
+        }
+        DRAIN_DEPTH.with(|d| d.set(d.get() + 1));
+        let _depth = Depth;
+        self.clone().drain(v, cbs);
+        while let Some(next) = PENDING.with(|p| p.borrow_mut().pop()) {
+            next.run();
+        }
     }
 
     /// Run callbacks with no borrow held (they may attach more callbacks to
     /// this same future — those land in the Running queue and drain here),
-    /// then park the value as Ready.
-    fn drain(self: &Rc<Self>, v: T, mut cbs: Vec<Callback<T>>) {
+    /// then park the value as Ready. `self` is the drain's own handle: when
+    /// it is the only one left and nothing is queued behind the last
+    /// callback, that callback takes the value by move and nothing is
+    /// parked, since nothing could read it.
+    fn drain(self: Rc<Self>, v: T, mut cbs: Callbacks<T>) {
         loop {
-            for cb in cbs.drain(..) {
-                cb(&v);
-            }
-            let mut st = self.state.borrow_mut();
-            match &mut *st {
-                State::Running(q) if q.is_empty() => {
-                    *st = State::Ready(v);
+            let n = cbs.len();
+            for (i, cb) in cbs.into_iter().enumerate() {
+                if i + 1 == n && self.unobservable() {
+                    cb(Val::Owned(v));
                     return;
                 }
-                State::Running(q) => {
-                    cbs = std::mem::take(q);
-                }
-                _ => unreachable!("state changed under a running drain"),
+                cb(Val::Shared(&v));
             }
+            let mut st = self.state.borrow_mut();
+            let State::Running(q) = &mut *st else {
+                unreachable!("state changed under a running drain")
+            };
+            if q.is_empty() {
+                *st = State::Ready(v);
+                return;
+            }
+            cbs = std::mem::replace(q, Callbacks::new());
         }
     }
 
-    fn add_callback(self: &Rc<Self>, cb: Box<dyn FnOnce(&T)>) {
-        let mut cb = Some(cb);
-        let ready = {
+    /// Whether no handle but the running drain's can reach this state and
+    /// no callback waits behind the one about to run.
+    fn unobservable(self: &Rc<Self>) -> bool {
+        Rc::strong_count(self) == 1
+            && matches!(&*self.state.borrow(), State::Running(q) if q.is_empty())
+    }
+
+    fn add_callback(self: &Rc<Self>, cb: Callback<T>) {
+        let v = {
             let mut st = self.state.borrow_mut();
             match &mut *st {
-                State::Pending(cbs) | State::Running(cbs) => {
-                    cbs.push(cb.take().expect("callback consumed twice"));
-                    None
+                State::Pending { cbs, .. } | State::Queued { cbs, .. } | State::Running(cbs) => {
+                    cbs.push(cb);
+                    return;
                 }
-                State::Ready(_) => {
-                    // Move the value out so the callback runs borrow-free
-                    // (it may re-attach to this very future).
-                    let State::Ready(v) = std::mem::replace(&mut *st, State::Running(Vec::new()))
-                    else {
-                        unreachable!()
-                    };
-                    Some(v)
-                }
+                State::Ready(_) => {}
             }
+            // Move the value out so the callback runs borrow-free (it may
+            // re-attach to this very future).
+            let State::Ready(v) = std::mem::replace(&mut *st, State::Running(Callbacks::new()))
+            else {
+                unreachable!()
+            };
+            v
         };
-        if let Some(v) = ready {
-            let this = self.clone();
-            let cb = cb.take().expect("callback consumed twice");
-            trampoline(move || this.drain(v, vec![cb]));
+        self.schedule(v, Callbacks::one(cb));
+    }
+
+    /// The value, if one is available and not checked out to a drain.
+    fn peek<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
+        match &*self.state.borrow() {
+            State::Ready(v) | State::Queued { value: v, .. } => Some(f(v)),
+            _ => None,
         }
     }
 }
 
-thread_local! {
-    static DRAIN_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-    static PENDING: RefCell<Vec<Box<dyn FnOnce()>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Run `job` now if no callback drain is active on this thread; otherwise
-/// queue it for the active outermost drain. The outermost call also drains
-/// everything queued by nested fulfillments, so arbitrarily deep `then`
-/// chains complete in constant stack depth.
-fn trampoline(job: impl FnOnce() + 'static) {
-    if DRAIN_DEPTH.with(|d| d.get()) > 0 {
-        PENDING.with(|p| p.borrow_mut().push(Box::new(job)));
-        return;
-    }
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            DRAIN_DEPTH.with(|d| d.set(d.get() - 1));
-        }
-    }
-    DRAIN_DEPTH.with(|d| d.set(d.get() + 1));
-    let _g = Guard;
-    job();
-    loop {
-        let next = PENDING.with(|p| p.borrow_mut().pop());
-        match next {
-            Some(j) => j(),
-            None => break,
-        }
+impl<T: 'static> Drain for Core<T> {
+    fn run(self: Rc<Self>) {
+        let State::Queued { cbs, value } = std::mem::replace(
+            &mut *self.state.borrow_mut(),
+            State::Running(Callbacks::new()),
+        ) else {
+            unreachable!("queued drain of a future that is not queued")
+        };
+        self.drain(value, cbs);
     }
 }
 
@@ -192,7 +324,11 @@ impl<T: 'static> fmt::Debug for Future<T> {
 /// Construct an already-ready future (UPC++ `make_future`).
 pub fn make_future<T: 'static>(v: T) -> Future<T> {
     Future {
-        core: Core::new_ready(v),
+        core: Rc::new(Core {
+            deps: Cell::new(0),
+            finalized: Cell::new(false),
+            state: RefCell::new(State::Ready(v)),
+        }),
     }
 }
 
@@ -201,10 +337,7 @@ impl<T: 'static> Future<T> {
     /// completion callbacks are executing (the value exists; it is briefly
     /// checked out to the callback drain).
     pub fn is_ready(&self) -> bool {
-        matches!(
-            &*self.core.state.borrow(),
-            State::Ready(_) | State::Running(_)
-        )
+        !matches!(&*self.core.state.borrow(), State::Pending { .. })
     }
 
     /// Retrieve the value if ready (clones it; the future stays observable).
@@ -212,19 +345,14 @@ impl<T: 'static> Future<T> {
     where
         T: Clone,
     {
-        match &*self.core.state.borrow() {
-            State::Ready(v) => Some(v.clone()),
-            // Pending, or checked out to a callback drain (see is_ready).
-            _ => None,
-        }
+        // `None` while pending, or while checked out to a callback drain
+        // (see is_ready).
+        self.core.peek(T::clone)
     }
 
     /// Peek at the value by reference.
     pub fn with_value<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
-        match &*self.core.state.borrow() {
-            State::Ready(v) => Some(f(v)),
-            _ => None,
-        }
+        self.core.peek(f)
     }
 
     /// Chain a callback: `f` runs with the value once available (immediately
@@ -234,14 +362,12 @@ impl<T: 'static> Future<T> {
     where
         T: Clone,
     {
-        let out = Future {
-            core: Core::<U>::new_pending(),
-        };
+        let out = Core::<U>::pending();
         let out2 = out.clone();
-        self.core.add_callback(Box::new(move |v: &T| {
-            out2.core.fulfill(f(v.clone()));
+        self.core.add_callback(callback(move |v: Val<'_, T>| {
+            out2.fulfill(f(v.into_owned()))
         }));
-        out
+        Future { core: out }
     }
 
     /// Like [`then`](Self::then) but for callbacks that launch further
@@ -254,18 +380,15 @@ impl<T: 'static> Future<T> {
     where
         T: Clone,
     {
-        let out = Future {
-            core: Core::<U>::new_pending(),
-        };
+        let out = Core::<U>::pending();
         let out2 = out.clone();
-        self.core.add_callback(Box::new(move |v: &T| {
-            let inner = f(v.clone());
-            let out3 = out2.clone();
-            inner.core.add_callback(Box::new(move |u: &U| {
-                out3.core.fulfill(u.clone());
-            }));
+        self.core.add_callback(callback(move |v: Val<'_, T>| {
+            let inner = f(v.into_owned());
+            inner
+                .core
+                .add_callback(callback(move |u: Val<'_, U>| out2.fulfill(u.into_owned())));
         }));
-        out
+        Future { core: out }
     }
 
     /// Block until ready and return the value. **smp conduit only**: spins on
@@ -294,20 +417,13 @@ impl<T: 'static> Future<T> {
 /// The producer side of an operation, with UPC++'s anonymous-dependency
 /// counter (see module docs).
 pub struct Promise<T: 'static> {
-    inner: Rc<PromiseInner<T>>,
-}
-
-struct PromiseInner<T: 'static> {
-    deps: std::cell::Cell<usize>,
-    value: RefCell<Option<T>>,
     core: Rc<Core<T>>,
-    finalized: std::cell::Cell<bool>,
 }
 
 impl<T: 'static> Clone for Promise<T> {
     fn clone(&self) -> Self {
         Promise {
-            inner: self.inner.clone(),
+            core: self.core.clone(),
         }
     }
 }
@@ -323,12 +439,7 @@ impl<T: 'static> Promise<T> {
     /// by [`finalize`](Self::finalize)).
     pub fn new() -> Promise<T> {
         Promise {
-            inner: Rc::new(PromiseInner {
-                deps: std::cell::Cell::new(1),
-                value: RefCell::new(None),
-                core: Core::new_pending(),
-                finalized: std::cell::Cell::new(false),
-            }),
+            core: Core::pending(),
         }
     }
 
@@ -336,64 +447,65 @@ impl<T: 'static> Promise<T> {
     /// all returned futures alias the same state).
     pub fn get_future(&self) -> Future<T> {
         Future {
-            core: self.inner.core.clone(),
+            core: self.core.clone(),
         }
     }
 
     /// Register `n` additional anonymous dependencies. Must precede their
     /// fulfillment; panics after the counter has reached zero.
     pub fn require_anonymous(&self, n: usize) {
-        let d = self.inner.deps.get();
+        let d = self.core.deps.get();
         assert!(d > 0, "promise already satisfied");
-        self.inner.deps.set(d + n);
+        self.core.deps.set(d + n);
     }
 
     /// Retire `n` anonymous dependencies; readies the future when the counter
     /// reaches zero (the value must have been supplied by then, or `T = ()`
     /// via the `Promise<()>` impl below).
     pub fn fulfill_anonymous(&self, n: usize) {
-        let d = self.inner.deps.get();
-        assert!(d >= n, "fulfilled more dependencies than required");
-        self.inner.deps.set(d - n);
-        if d == n {
-            self.complete();
-        }
+        self.core.retire(n);
     }
 
     /// Supply the result value and retire one dependency (UPC++
     /// `fulfill_result`).
     pub fn fulfill(&self, v: T) {
-        {
-            let mut slot = self.inner.value.borrow_mut();
-            assert!(slot.is_none(), "promise value supplied twice");
-            *slot = Some(v);
-        }
-        self.fulfill_anonymous(1);
+        self.core.fulfill(v);
     }
 
     /// Retire the implicit initial dependency and return the future. Call
     /// once, after registering all other dependencies (paper Fig. 7 line 14).
     pub fn finalize(&self) -> Future<T> {
-        assert!(!self.inner.finalized.get(), "promise finalized twice");
-        self.inner.finalized.set(true);
-        self.fulfill_anonymous(1);
+        assert!(!self.core.finalized.get(), "promise finalized twice");
+        self.core.finalized.set(true);
+        self.core.retire(1);
         self.get_future()
     }
 
     /// Remaining dependency count (diagnostics).
     pub fn pending_deps(&self) -> usize {
-        self.inner.deps.get()
+        self.core.deps.get()
     }
 
-    fn complete(&self) {
-        let v = self
-            .inner
-            .value
-            .borrow_mut()
-            .take()
-            .or_else(unit_default::<T>)
-            .expect("promise dependencies satisfied but no value supplied (non-unit promises need fulfill)");
-        self.inner.core.fulfill(v);
+    /// This promise as a [`ReplySink`], for the RPC reply table.
+    pub(crate) fn into_reply_sink(self) -> Rc<dyn ReplySink>
+    where
+        T: Ser,
+    {
+        self.core
+    }
+}
+
+/// A promise erased down to "decode your value from this message and
+/// fulfill yourself": the RPC reply table parks the promises of every
+/// result type in one map, with the typed decode in the vtable, so an entry
+/// is one fat pointer and parking one allocates nothing.
+pub(crate) trait ReplySink {
+    fn fulfill_from(self: Rc<Self>, r: Reader);
+}
+
+impl<T: Ser> ReplySink for Core<T> {
+    fn fulfill_from(self: Rc<Self>, mut r: Reader) {
+        self.fulfill(T::deser(&mut r));
     }
 }
 
@@ -411,51 +523,56 @@ pub fn when_all<A: Clone + 'static, B: Clone + 'static>(
     a: &Future<A>,
     b: &Future<B>,
 ) -> Future<(A, B)> {
-    let out = Future {
-        core: Core::<(A, B)>::new_pending(),
-    };
+    let out = Core::<(A, B)>::pending();
     let out2 = out.clone();
-    let b = b.clone();
-    a.core.add_callback(Box::new(move |av: &A| {
-        let av = av.clone();
-        let out3 = out2.clone();
-        b.core.add_callback(Box::new(move |bv: &B| {
-            out3.core.fulfill((av, bv.clone()));
+    let b = b.core.clone();
+    a.core.add_callback(callback(move |av: Val<'_, A>| {
+        let av = av.into_owned();
+        b.add_callback(callback(move |bv: Val<'_, B>| {
+            out2.fulfill((av, bv.into_owned()))
         }));
     }));
-    out
+    Future { core: out }
+}
+
+/// The shared collection state of one [`when_all_vec`].
+struct Gather<T> {
+    slots: RefCell<Vec<Option<T>>>,
+    remaining: Cell<usize>,
+    out: Rc<Core<Vec<T>>>,
 }
 
 /// Conjoin a homogeneous collection, readying with all values in input order.
 pub fn when_all_vec<T: Clone + 'static>(futs: Vec<Future<T>>) -> Future<Vec<T>> {
     let n = futs.len();
-    let out = Future {
-        core: Core::<Vec<T>>::new_pending(),
-    };
+    let out = Core::<Vec<T>>::pending();
     if n == 0 {
-        out.core.fulfill(Vec::new());
-        return out;
+        out.fulfill(Vec::new());
+        return Future { core: out };
     }
-    let slots: Rc<RefCell<Vec<Option<T>>>> = Rc::new(RefCell::new((0..n).map(|_| None).collect()));
-    let remaining = Rc::new(std::cell::Cell::new(n));
+    let g = Rc::new(Gather {
+        slots: RefCell::new((0..n).map(|_| None).collect()),
+        remaining: Cell::new(n),
+        out: out.clone(),
+    });
     for (i, f) in futs.into_iter().enumerate() {
-        let slots = slots.clone();
-        let remaining = remaining.clone();
-        let out2 = out.clone();
-        f.core.add_callback(Box::new(move |v: &T| {
-            slots.borrow_mut()[i] = Some(v.clone());
-            remaining.set(remaining.get() - 1);
-            if remaining.get() == 0 {
-                let vals = slots
+        let g = g.clone();
+        f.core.add_callback(callback(move |v: Val<'_, T>| {
+            g.slots.borrow_mut()[i] = Some(v.into_owned());
+            let left = g.remaining.get() - 1;
+            g.remaining.set(left);
+            if left == 0 {
+                let vals = g
+                    .slots
                     .borrow_mut()
                     .iter_mut()
                     .map(|s| s.take().expect("slot unfilled"))
                     .collect();
-                out2.core.fulfill(vals);
+                g.out.fulfill(vals);
             }
         }));
     }
-    out
+    Future { core: out }
 }
 
 /// Conjoin unit futures — the paper's `f_conj = when_all(f_conj, fut)` idiom
@@ -661,6 +778,80 @@ mod tests {
         let p = Promise::<u32>::new();
         assert!(format!("{:?}", p.get_future()).contains("pending"));
         assert!(format!("{:?}", make_future(1u32)).contains("ready"));
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A value that counts its clones.
+    struct Counted(u64);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    #[test]
+    fn unobserved_then_links_move_the_value() {
+        let p = Promise::<Counted>::new();
+        let mut f = p.get_future();
+        for _ in 0..8 {
+            f = f.then(|v| Counted(v.0 + 1));
+        }
+        CLONES.with(|c| c.set(0));
+        p.fulfill(Counted(0));
+        // Only the first link clones: the promise can still read its value.
+        // Every later link is the last reader of its input.
+        assert_eq!(CLONES.with(|c| c.get()), 1);
+        assert_eq!(f.with_value(|v| v.0), Some(8));
+    }
+
+    #[test]
+    fn observed_values_are_cloned_not_moved() {
+        let p = Promise::<Counted>::new();
+        let f = p.get_future();
+        let g = f.then(|v| v.0);
+        p.fulfill(Counted(5));
+        assert_eq!(g.try_get(), Some(5));
+        // `f` is still held, so its value stayed behind for it.
+        assert_eq!(f.with_value(|v| v.0), Some(5));
+        let h = f.then_fut(|v| make_future(Counted(v.0 * 2)));
+        assert_eq!(h.with_value(|v| v.0), Some(10));
+        assert_eq!(f.with_value(|v| v.0), Some(5));
+    }
+
+    #[test]
+    fn then_fut_recursion_over_ready_futures_is_stack_safe() {
+        // Each step attaches to a ready future from inside a running
+        // callback; the trampoline must queue those drains, not nest them.
+        fn step(i: u32) -> Future<u32> {
+            if i == 100_000 {
+                return make_future(i);
+            }
+            make_future(()).then_fut(move |_| step(i + 1))
+        }
+        assert_eq!(step(0).try_get(), Some(100_000));
+    }
+
+    #[test]
+    fn queued_future_is_ready_inside_the_drain() {
+        // `b` readies inside `a`'s drain; its own drain is queued behind it,
+        // yet its value is already observable.
+        let a = Promise::<u32>::new();
+        let b = Promise::<u32>::new();
+        let bf = b.get_future();
+        let seen = Rc::new(Cell::new(None));
+        let s = seen.clone();
+        let _keep = bf.then(|v| v);
+        let _chain = a.get_future().then(move |v| {
+            b.fulfill(v + 1);
+            s.set(bf.try_get());
+        });
+        a.fulfill(1);
+        assert_eq!(seen.get(), Some(2));
     }
 
     #[test]

@@ -100,21 +100,17 @@ where
     let payload = arg_bytes.len();
     let tag = c.op_tag(OpKind::Rpc, target as u32, payload as u32);
 
-    // Register the reply continuation (holds the promise; rank-local), keyed
-    // by the op's span id — one sequence serves both reply matching and
-    // tracing, so the reply wire names its causal parent for free. The
-    // continuation runs at the initiator and closes the op's event quartet.
+    // Park the promise (rank-local), keyed by the op's span id — one
+    // sequence serves both reply matching and tracing, so the reply wire
+    // names its causal parent for free. A traced RPC also parks its tag:
+    // the reply closes the op's event quartet with its `Complete`.
     let p = Promise::<R>::new();
-    {
-        let p2 = p.clone();
-        c.reply_tbl.borrow_mut().insert(
-            tag.tid,
-            Box::new(move |mut r: Reader| {
-                p2.fulfill(R::deser(&mut r));
-                let ic = ctx();
-                ic.emit(Phase::Complete, tag);
-            }),
-        );
+    let fut = p.get_future();
+    c.reply_tbl
+        .borrow_mut()
+        .insert(tag.tid, p.into_reply_sink());
+    if c.trace_on.get() {
+        c.trace.borrow_mut().rpc_tags.insert(tag.tid, tag);
     }
 
     // Sanitizer: the message carries the sender's vector clock, making the
@@ -131,7 +127,7 @@ where
         body: arg_bytes,
     };
     crate::agg::submit(&c, target, payload, desc.into_am(c.frames), tag);
-    p.get_future()
+    fut
 }
 
 /// Target-side body of [`rpc_ff`]: deserialize, execute, complete in place.
@@ -198,8 +194,8 @@ fn deliver_reply(env: FrameEnv) {
     ic.stats
         .bytes_in
         .set(ic.stats.bytes_in.get() + bytes.len() as u64);
-    let handler = ic.reply_tbl.borrow_mut().remove(&op_id);
-    match handler {
+    let sink = ic.reply_tbl.borrow_mut().remove(&op_id);
+    match sink {
         // The continuation fulfills a user-visible promise, which belongs to
         // the master persona. `master_exec` runs it inline on the default
         // path (identical order to before personas existed); when a progress
@@ -207,11 +203,15 @@ fn deliver_reply(env: FrameEnv) {
         // handoff queue for the initiator's next user-progress call —
         // today's single-threaded callback semantics, regardless of which
         // persona serviced the wire.
-        Some(handler) => crate::persona::master_exec(&ic, move || {
+        Some(sink) => crate::persona::master_exec(&ic, move || {
             let mc = ctx();
             let _restricted = san::RestrictedGuard::new(&mc);
             let _span = crate::trace::SpanGuard::enter(&mc, replier, tag.tid);
-            handler(Reader::new(bytes));
+            sink.fulfill_from(Reader::new(bytes));
+            let traced = mc.trace.borrow_mut().rpc_tags.remove(&op_id);
+            if let Some(rpc_tag) = traced {
+                mc.emit(Phase::Complete, rpc_tag);
+            }
         }),
         None => {
             // A reply with no parked continuation means the op-id

@@ -163,25 +163,52 @@ pub(crate) fn recycle_buf(buf: Vec<u8>) {
     pool_recycle(buf);
 }
 
-/// A cursor over an incoming message buffer. Holds the buffer by `Rc` so
-/// [`View`]s deserialized from it stay valid zero-copy windows.
+/// A cursor over an incoming message buffer. The buffer is owned until the
+/// first zero-copy [`View`] is deserialized from it; only then does it move
+/// into an `Rc` that the view shares. Every other message is read and
+/// recycled into the pool with no allocation of its own.
 pub struct Reader {
-    buf: Rc<Vec<u8>>,
+    buf: MsgBuf,
     pos: usize,
+}
+
+/// A [`Reader`]'s buffer: owned, or shared with the views taken from it.
+enum MsgBuf {
+    Owned(Vec<u8>),
+    Shared(Rc<Vec<u8>>),
 }
 
 impl Reader {
     /// Wrap an owned message buffer.
     pub fn new(buf: Vec<u8>) -> Reader {
         Reader {
-            buf: Rc::new(buf),
+            buf: MsgBuf::Owned(buf),
             pos: 0,
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        match &self.buf {
+            MsgBuf::Owned(v) => v,
+            MsgBuf::Shared(rc) => rc,
+        }
+    }
+
+    /// The buffer as a shared handle for a zero-copy [`View`], moving it
+    /// into an `Rc` on first use.
+    fn share(&mut self) -> Rc<Vec<u8>> {
+        if let MsgBuf::Owned(v) = &mut self.buf {
+            self.buf = MsgBuf::Shared(Rc::new(std::mem::take(v)));
+        }
+        match &self.buf {
+            MsgBuf::Shared(rc) => rc.clone(),
+            MsgBuf::Owned(_) => unreachable!("buffer was just shared"),
         }
     }
 
     /// Bytes remaining.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.bytes().len() - self.pos
     }
 
     /// Consume `n` bytes, returning their range start.
@@ -213,18 +240,21 @@ impl Reader {
     /// Read a little-endian fixed-size array.
     fn read_arr<const N: usize>(&mut self) -> [u8; N] {
         let at = self.take(N);
-        self.buf[at..at + N].try_into().unwrap()
+        self.bytes()[at..at + N].try_into().unwrap()
     }
 }
 
 impl Drop for Reader {
     fn drop(&mut self) {
         // Recycle the message buffer into the thread's pool — but only when
-        // no zero-copy `View` (or clone) still shares it.
-        if Rc::strong_count(&self.buf) == 1 {
-            let rc = std::mem::replace(&mut self.buf, Rc::new(Vec::new()));
-            if let Ok(v) = Rc::try_unwrap(rc) {
-                pool_recycle(v);
+        // no zero-copy `View` (or clone) still shares it. Swapping in an
+        // empty `Vec` allocates nothing.
+        match std::mem::replace(&mut self.buf, MsgBuf::Owned(Vec::new())) {
+            MsgBuf::Owned(v) => pool_recycle(v),
+            MsgBuf::Shared(rc) => {
+                if let Ok(v) = Rc::try_unwrap(rc) {
+                    pool_recycle(v);
+                }
             }
         }
     }
@@ -296,7 +326,7 @@ macro_rules! ser_prim {
             fn deser_vec(r: &mut Reader, n: usize) -> Vec<Self> {
                 if cfg!(target_endian = "little") {
                     let at = r.take_elems(n, std::mem::size_of::<$t>());
-                    pod_from_bytes(&r.buf[at])
+                    pod_from_bytes(&r.bytes()[at])
                 } else {
                     deser_each(r, n)
                 }
@@ -324,7 +354,7 @@ impl Ser for bool {
     }
     fn deser(r: &mut Reader) -> Self {
         let at = r.take(1);
-        r.buf[at] != 0
+        r.bytes()[at] != 0
     }
     fn ser_size(&self) -> usize {
         1
@@ -347,7 +377,7 @@ impl Ser for String {
     fn deser(r: &mut Reader) -> Self {
         let n = u64::deser(r) as usize;
         let at = r.take(n);
-        String::from_utf8(r.buf[at..at + n].to_vec()).expect("invalid utf8 in message")
+        String::from_utf8(r.bytes()[at..at + n].to_vec()).expect("invalid utf8 in message")
     }
     fn ser_size(&self) -> usize {
         8 + self.len()
@@ -380,7 +410,7 @@ impl<T: Ser> Ser for Option<T> {
     }
     fn deser(r: &mut Reader) -> Self {
         let at = r.take(1);
-        if r.buf[at] == 0 {
+        if r.bytes()[at] == 0 {
             None
         } else {
             Some(T::deser(r))
@@ -400,7 +430,7 @@ impl<T: Pod + 'static, const N: usize> Ser for [T; N] {
         // SAFETY: `take` checked that `size_of::<Self>()` bytes follow `at`;
         // Pod tolerates any previously-written bit pattern; read_unaligned
         // handles arbitrary source alignment.
-        unsafe { (r.buf.as_ptr().add(at) as *const Self).read_unaligned() }
+        unsafe { (r.bytes().as_ptr().add(at) as *const Self).read_unaligned() }
     }
     fn ser_size(&self) -> usize {
         N * std::mem::size_of::<T>()
@@ -510,7 +540,7 @@ impl<T: Pod> Ser for View<T> {
         let at = r.take_elems(len, std::mem::size_of::<T>());
         // Zero-copy: share the reader's buffer.
         View {
-            buf: r.buf.clone(),
+            buf: r.share(),
             off: at.start,
             len,
             _pd: std::marker::PhantomData,

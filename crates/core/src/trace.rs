@@ -370,6 +370,10 @@ pub(crate) struct TraceState {
     pub(crate) def_q_wait: LatencyHist,
     /// compQ residency (Deliver → Complete) per drained op.
     pub(crate) comp_q_wait: LatencyHist,
+    /// Tags of the RPCs injected while tracing, until their replies emit
+    /// their `Complete` events (kept out of the reply table, whose entries
+    /// every RPC pays for).
+    pub(crate) rpc_tags: crate::ctx::FastMap<u64, TraceTag>,
 }
 
 impl TraceState {
@@ -382,6 +386,7 @@ impl TraceState {
             emitted: 0,
             def_q_wait: LatencyHist::default(),
             comp_q_wait: LatencyHist::default(),
+            rpc_tags: Default::default(),
         }
     }
 

@@ -104,11 +104,20 @@ fn smp_progress_thread_on_off_same_results() {
 
 // ------------------------------------------- smp: trace-shape equivalence
 
+/// Traced windows rank 0 has closed so far. Rank 1 waits for each before
+/// it enters the next barrier: otherwise its barrier flag can land inside
+/// rank 0's traced window and add `SysAm` events to one knob state's
+/// counts only.
+static TRACED_WINDOWS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
 /// Count trace events per (kind, phase) for one traced put+get+rpc sequence
 /// under the given knob state, and collect the persona ids stamped on them.
 /// Runs on rank 0 only. Keys are the Debug renderings — `OpKind`/`Phase`
 /// deliberately don't implement `Ord`.
-fn traced_counts(progress_thread: bool) -> (BTreeMap<(String, String), usize>, Vec<u8>) {
+fn traced_counts(
+    window: usize,
+    progress_thread: bool,
+) -> (BTreeMap<(String, String), usize>, Vec<u8>) {
     upcxx::set_progress_thread(progress_thread);
     let slot = upcxx::allocate::<u64>(4);
     let slots = upcxx::allgather(slot);
@@ -127,6 +136,9 @@ fn traced_counts(progress_thread: bool) -> (BTreeMap<(String, String), usize>, V
             personas.push(e.persona);
         }
         trace::set_config(TraceConfig::default());
+        TRACED_WINDOWS.store(window, std::sync::atomic::Ordering::SeqCst);
+    } else {
+        upcxx::wait_until(|| TRACED_WINDOWS.load(std::sync::atomic::Ordering::SeqCst) >= window);
     }
     upcxx::barrier();
     upcxx::deallocate(slot);
@@ -138,8 +150,8 @@ fn traced_counts(progress_thread: bool) -> (BTreeMap<(String, String), usize>, V
 #[test]
 fn smp_trace_event_counts_match_across_knob() {
     upcxx::run_spmd_default(2, || {
-        let (on, on_personas) = traced_counts(true);
-        let (off, off_personas) = traced_counts(false);
+        let (on, on_personas) = traced_counts(1, true);
+        let (off, off_personas) = traced_counts(2, false);
         if upcxx::rank_me() == 0 {
             assert_eq!(on, off, "per-(kind, phase) event counts must match");
             // The progress persona changes *who* records an event, never

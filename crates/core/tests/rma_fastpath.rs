@@ -103,10 +103,16 @@ fn smp_eager_on_off_same_results() {
 
 // ------------------------------------------- smp: trace-shape equivalence
 
+/// Traced windows rank 0 has closed so far. Rank 1 waits for each before
+/// it enters the next barrier: otherwise its barrier flag can land inside
+/// rank 0's traced window and add `SysAm` events to one knob state's
+/// counts only.
+static TRACED_WINDOWS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
 /// Count trace events per (kind, phase) for one traced put+get+get_into
 /// sequence under the given knob state. Runs on rank 0 only. Keys are the
 /// Debug renderings — `OpKind`/`Phase` deliberately don't implement `Ord`.
-fn traced_counts(eager: bool) -> BTreeMap<(String, String), usize> {
+fn traced_counts(window: usize, eager: bool) -> BTreeMap<(String, String), usize> {
     upcxx::set_eager(eager);
     let slot = upcxx::allocate::<u64>(4);
     let slots = upcxx::allgather(slot);
@@ -125,6 +131,9 @@ fn traced_counts(eager: bool) -> BTreeMap<(String, String), usize> {
                 .or_insert(0) += 1;
         }
         trace::set_config(TraceConfig::default());
+        TRACED_WINDOWS.store(window, std::sync::atomic::Ordering::SeqCst);
+    } else {
+        upcxx::wait_until(|| TRACED_WINDOWS.load(std::sync::atomic::Ordering::SeqCst) >= window);
     }
     upcxx::barrier();
     upcxx::deallocate(slot);
@@ -135,8 +144,8 @@ fn traced_counts(eager: bool) -> BTreeMap<(String, String), usize> {
 #[test]
 fn smp_trace_event_counts_match_across_knob() {
     upcxx::run_spmd_default(2, || {
-        let on = traced_counts(true);
-        let off = traced_counts(false);
+        let on = traced_counts(1, true);
+        let off = traced_counts(2, false);
         if upcxx::rank_me() == 0 {
             assert_eq!(on, off, "per-(kind, phase) event counts must match");
             // The telescoped fast path still emits the full quartet: one

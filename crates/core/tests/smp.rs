@@ -418,3 +418,38 @@ fn single_rank_world_works() {
         upcxx::barrier();
     });
 }
+
+/// What rank 0's failed barrier said, for the test below.
+static DEAD_PEER_MSG: std::sync::Mutex<String> = std::sync::Mutex::new(String::new());
+
+#[test]
+fn panicking_rank_fails_peer_barrier_instead_of_hanging() {
+    // Rank 1 panics before the barrier rank 0 waits in. Rank 0's wait must
+    // panic, naming rank 1, and the world must fail. The world runs on a
+    // helper thread with a deadline, so a hang fails this test instead of
+    // stalling the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let world = std::thread::spawn(move || {
+        let r = std::panic::catch_unwind(|| {
+            upcxx::run_spmd_default(2, || {
+                if upcxx::rank_me() == 1 {
+                    panic!("rank 1 failing on purpose");
+                }
+                let err = std::panic::catch_unwind(upcxx::barrier)
+                    .expect_err("a barrier with a dead peer must fail");
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                *DEAD_PEER_MSG.lock().unwrap() = msg;
+            });
+        });
+        let _ = tx.send(r.is_err());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+        Ok(failed) => assert!(failed, "a world with a panicked rank must fail"),
+        Err(_) => panic!("barrier on a dead rank still blocked after 10 s"),
+    }
+    world
+        .join()
+        .expect("helper thread catches the world's panic");
+    let msg = DEAD_PEER_MSG.lock().unwrap().clone();
+    assert!(msg.contains("rank 1 panicked"), "{msg:?}");
+}

@@ -84,8 +84,9 @@ pub enum Am {
 
 /// A batch of Active Messages delivered as one conduit-level entry.
 pub enum Batch {
-    /// Closures, delivered in order as a single inbox entry.
-    Items(Vec<Item>),
+    /// One closure that runs every member in order (and whatever bracket
+    /// the layer above wraps around them): a single inbox entry.
+    Item(Item),
     /// One pre-concatenated container frame holding every member.
     Frame(Vec<u8>),
 }
@@ -187,6 +188,14 @@ pub trait Conduit: Send + Sync {
     fn wall_ps(&self) -> u64;
     /// Full-world rendezvous: returns after every rank has entered.
     fn barrier(&self);
+    /// The first rank of this world known to have died (its rank main
+    /// panicked), if any. Blocking loops above the conduit poll this so a
+    /// dead peer fails them instead of hanging them. The default reports
+    /// none: conduits whose launcher already reaps a failed world (proc)
+    /// need no in-world signal.
+    fn dead_rank(&self) -> Option<Rank> {
+        None
+    }
 }
 
 #[cfg(test)]

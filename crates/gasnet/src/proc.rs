@@ -622,7 +622,7 @@ impl Conduit for ProcHandle {
             .fetch_add(1, Ordering::Relaxed);
         match batch {
             Batch::Frame(frame) => self.send_frame(target, frame),
-            Batch::Items(_) => {
+            Batch::Item(_) => {
                 unreachable!("proc is a cross-process conduit; AMs travel as frames")
             }
         }

@@ -393,6 +393,10 @@ impl SimWorld {
     /// Active message: run `item` on `target` after a modeled transfer of
     /// `payload_bytes`. `o_inject` is the initiator software cost;
     /// the dispatch cost at the target comes from the machine config.
+    /// The `upcxx` aggregation layer ships a batch through here as one item
+    /// running all its members: the whole batch pays a single injection, a
+    /// single transfer and a single dispatch — the per-message amortization
+    /// it models — and counts as one delivered item in `items_run`.
     pub fn am(
         &self,
         src_rank: Rank,
@@ -414,42 +418,6 @@ impl SimWorld {
         self.0
             .sim
             .schedule_at(arrive, Box::new(move || w.deliver(target, item, dispatch)));
-    }
-
-    /// Aggregated active-message batch: run `items` back-to-back, in order,
-    /// on `target` after **one** modeled transfer of `payload_bytes` (the
-    /// whole batch pays a single NIC injection gap and per-byte cost) and a
-    /// single dispatch charge at the target. `o_inject` is charged once on
-    /// the source CPU. This is the sim transport of the `upcxx` aggregation
-    /// layer; the per-message gap and dispatch amortization is exactly what
-    /// it models. The batch counts as one delivered item in `items_run`.
-    pub fn am_batch(
-        &self,
-        src_rank: Rank,
-        target: Rank,
-        payload_bytes: usize,
-        o_inject: Time,
-        items: Vec<LocalItem>,
-    ) {
-        let arrive = {
-            let mut st = self.0.st.borrow_mut();
-            let now = self.0.sim.now();
-            let ready = st.ranks[src_rank].cpu.charge(now, o_inject);
-            st.machine
-                .transfer(src_rank, target, payload_bytes, ready)
-                .arrive
-        };
-        let dispatch = self.0.cfg.sw.gex_am_dispatch;
-        let w = self.clone();
-        let combined: LocalItem = Box::new(move || {
-            for item in items {
-                item();
-            }
-        });
-        self.0.sim.schedule_at(
-            arrive,
-            Box::new(move || w.deliver(target, combined, dispatch)),
-        );
     }
 
     /// Schedule `item` to run on `rank` after a virtual delay (a pure

@@ -23,21 +23,14 @@
 
 use crate::{Am, AmMode, Batch, Item, Rank};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One inbox entry: a single deliverable item, or a pre-batched run of
-/// items shipped by the aggregation layer as one conduit message (the batch
-/// vector rides the queue directly — no wrapping closure, no double box).
-enum Entry {
-    One(Item),
-    Batch(Vec<Item>),
-}
-
-/// A node of the lock-free push list.
+/// A node of the lock-free push list. An aggregated batch is one item that
+/// runs all its members, so it travels as one node like any other AM.
 struct Node {
-    entry: Entry,
+    item: Item,
     next: *mut Node,
 }
 
@@ -51,6 +44,10 @@ struct Node {
 /// atomic length keeps emptiness probes O(1) and lets the drain return
 /// without touching the contended head in the common empty case; like the
 /// previous mutex design it is a racy hint, never a synchronization point.
+///
+/// Cache-line aligned, so the `head`/`len` words that other ranks' sends
+/// write never share a line with a neighbouring rank's inbox.
+#[repr(align(64))]
 struct Inbox {
     head: AtomicPtr<Node>,
     len: AtomicU64,
@@ -62,12 +59,16 @@ struct Inbox {
     /// (the `upcxx` runtime's opt-in progress thread does), that layer must
     /// hold its per-rank serialization lock around `poll`, which provides
     /// both the mutual exclusion and the ordering the stash needs.
-    stash: UnsafeCell<Vec<Entry>>,
+    stash: UnsafeCell<Vec<Item>>,
+    /// Consumer-private drain buffer of [`RankHandle::poll`], kept between
+    /// polls so a non-empty poll allocates nothing. Same serialized-consumer
+    /// contract as `stash`.
+    drained: UnsafeCell<Vec<Item>>,
 }
 
-// SAFETY: `head` and `len` are atomics; `stash` is accessed only under the
-// serialized-consumer contract above (one draining thread at a time, drains
-// ordered by the caller's lock when threads alternate). List nodes are
+// SAFETY: `head` and `len` are atomics; `stash` and `drained` are accessed
+// only under the serialized-consumer contract above (one draining thread at
+// a time, drains ordered by the caller's lock when threads alternate). List nodes are
 // heap allocations handed off through the atomic head with Release/Acquire
 // pairing, so the consumer sees fully-written nodes.
 unsafe impl Send for Inbox {}
@@ -79,13 +80,14 @@ impl Inbox {
             head: AtomicPtr::new(std::ptr::null_mut()),
             len: AtomicU64::new(0),
             stash: UnsafeCell::new(Vec::new()),
+            drained: UnsafeCell::new(Vec::new()),
         }
     }
 
-    /// Producer side: push one entry (any thread, no lock).
-    fn push(&self, entry: Entry) {
+    /// Producer side: push one item (any thread, no lock).
+    fn push(&self, item: Item) {
         let node = Box::into_raw(Box::new(Node {
-            entry,
+            item,
             next: std::ptr::null_mut(),
         }));
         let mut head = self.head.load(Ordering::Relaxed);
@@ -122,7 +124,7 @@ impl Inbox {
             // exclusively ours; each was boxed exactly once in `push`.
             let boxed = unsafe { Box::from_raw(node) };
             node = boxed.next;
-            stash.push(boxed.entry);
+            stash.push(boxed.item);
         }
         !stash.is_empty()
     }
@@ -131,7 +133,7 @@ impl Inbox {
     /// were taken. One refill (a single atomic swap) amortizes the whole
     /// batch — this is [`RankHandle::poll`]'s drain, replacing a lock
     /// round-trip per item. Single consumer: the owning rank's thread only.
-    fn pop_n(&self, out: &mut Vec<Entry>, max: usize) -> usize {
+    fn pop_n(&self, out: &mut Vec<Item>, max: usize) -> usize {
         if max == 0 || self.len.load(Ordering::Acquire) == 0 {
             return 0;
         }
@@ -222,9 +224,9 @@ struct Shared {
     seg_size: usize,
     segments: Vec<Segment>,
     inboxes: Vec<Inbox>,
-    am_sent: AtomicU64,
-    items_run: AtomicU64,
-    batches_sent: AtomicU64,
+    /// The first rank whose main panicked, or [`NO_RANK`]: set by the
+    /// drop guard in [`launch`], read by [`RankHandle::dead_rank`].
+    dead: AtomicUsize,
     /// Generation-counting central barrier (see [`RankHandle::barrier`]):
     /// `bar_count` counts arrivals in the current episode, `bar_gen` is
     /// bumped by the last arrival to release the waiters. No per-rank sense
@@ -264,17 +266,10 @@ impl RankHandle {
     pub fn seg_size(&self) -> usize {
         self.sh.seg_size
     }
-    /// Total active messages sent across the world so far.
-    pub fn am_sent_total(&self) -> u64 {
-        self.sh.am_sent.load(Ordering::Relaxed)
-    }
-    /// Total items executed across the world so far.
-    pub fn items_run_total(&self) -> u64 {
-        self.sh.items_run.load(Ordering::Relaxed)
-    }
-    /// Total aggregated batches sent across the world so far.
-    pub fn batches_sent_total(&self) -> u64 {
-        self.sh.batches_sent.load(Ordering::Relaxed)
+    /// The first rank of this world whose main panicked, if any.
+    pub fn dead_rank(&self) -> Option<Rank> {
+        let r = self.sh.dead.load(Ordering::Acquire);
+        (r != NO_RANK).then_some(r)
     }
 
     /// Base pointer of `rank`'s segment. The smp conduit has a flat address
@@ -386,55 +381,38 @@ impl RankHandle {
 
     /// Deliver an item to `target`'s inbox. It runs when the target polls.
     pub fn send_item(&self, target: Rank, item: Item) {
-        self.sh.am_sent.fetch_add(1, Ordering::Relaxed);
-        self.sh.inboxes[target].push(Entry::One(item));
-    }
-
-    /// Deliver a batch of items to `target` as **one** inbox entry: a single
-    /// queue push no matter how many payloads ride along; the items run
-    /// back-to-back, in order, when the target polls. This is the
-    /// aggregation layer's transport — the smp analogue of a single wire
-    /// message. The batch vector travels as-is (a dedicated entry variant),
-    /// not re-boxed inside a trampoline closure.
-    pub fn send_batch(&self, target: Rank, items: Vec<Item>) {
-        self.sh.am_sent.fetch_add(1, Ordering::Relaxed);
-        self.sh.batches_sent.fetch_add(1, Ordering::Relaxed);
-        self.sh.inboxes[target].push(Entry::Batch(items));
+        self.sh.inboxes[target].push(item);
     }
 
     /// Execute up to `budget` pending inbox entries from *this rank's*
-    /// inbox (a batch counts as one entry, as it is one conduit message).
+    /// inbox (a batch is one item, as it is one conduit message).
     /// Returns the number executed. This is the conduit half of progress;
     /// the `upcxx` runtime calls it from `progress()` — and, when the
     /// opt-in progress thread is enabled, from that thread too, holding the
     /// runtime's per-rank engine lock so the inbox's serialized-consumer
     /// contract holds across both threads.
     ///
-    /// Entries are drained in one batched `pop_n` and then executed in
-    /// arrival order. Runtime-made items never re-enter `poll` (they park
-    /// their effects in the progress engine's completion queue), so the
-    /// drained prefix cannot be overtaken by a nested drain.
+    /// Entries are drained in one batched `pop_n` into the inbox's kept
+    /// drain buffer and then executed in arrival order. Runtime-made items
+    /// never re-enter `poll` (they park their effects in the progress
+    /// engine's completion queue), so the drained prefix cannot be overtaken
+    /// by a nested drain; the buffer is moved out while items run, so even a
+    /// nested poll would only find it empty.
     pub fn poll(&self, budget: usize) -> usize {
         let q = &self.sh.inboxes[self.me];
         if q.is_empty() {
             return 0;
         }
-        let mut drained: Vec<Entry> = Vec::new();
+        // SAFETY: only the owner's thread (or a thread holding the layer
+        // above's serialization lock) polls this inbox; no reference into
+        // the buffer outlives this statement.
+        let mut drained = std::mem::take(unsafe { &mut *q.drained.get() });
         let ran = q.pop_n(&mut drained, budget);
-        if ran == 0 {
-            return 0;
+        for item in drained.drain(..) {
+            item();
         }
-        for entry in drained {
-            match entry {
-                Entry::One(item) => item(),
-                Entry::Batch(items) => {
-                    for item in items {
-                        item();
-                    }
-                }
-            }
-        }
-        self.sh.items_run.fetch_add(ran as u64, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { *q.drained.get() = drained };
         ran
     }
 
@@ -528,7 +506,7 @@ impl crate::Conduit for RankHandle {
     }
     fn send_am_batch(&self, target: Rank, batch: Batch) {
         match batch {
-            Batch::Items(items) => self.send_batch(target, items),
+            Batch::Item(item) => self.send_item(target, item),
             Batch::Frame(_) => unreachable!("smp is an in-process conduit; AMs travel as items"),
         }
     }
@@ -547,11 +525,39 @@ impl crate::Conduit for RankHandle {
     fn barrier(&self) {
         RankHandle::barrier(self)
     }
+    fn dead_rank(&self) -> Option<Rank> {
+        RankHandle::dead_rank(self)
+    }
+}
+
+/// [`Shared::dead`]'s "no rank has died" value.
+const NO_RANK: usize = usize::MAX;
+
+/// Marks its rank dead in the world if dropped during a panic, so peers
+/// blocked on it fail instead of hanging (see [`RankHandle::dead_rank`]).
+struct DeathWatch<'a> {
+    sh: &'a Shared,
+    me: Rank,
+}
+
+impl Drop for DeathWatch<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // The first death is the root cause; later ones are its echoes.
+            let _ = self.sh.dead.compare_exchange(
+                NO_RANK,
+                self.me,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            );
+        }
+    }
 }
 
 /// Run an SPMD world of `n` ranks, one OS thread each. `f` is the rank main;
 /// it receives that rank's conduit handle. Returns when every rank main has
-/// returned. A panic on any rank propagates to the caller.
+/// returned. A panic on any rank propagates to the caller, and marks the
+/// rank dead for its peers ([`RankHandle::dead_rank`]).
 pub fn launch<F>(n: usize, cfg: SmpConfig, f: F)
 where
     F: Fn(RankHandle) + Send + Sync,
@@ -562,9 +568,7 @@ where
         seg_size: cfg.seg_size,
         segments: (0..n).map(|_| Segment::new(cfg.seg_size)).collect(),
         inboxes: (0..n).map(|_| Inbox::new()).collect(),
-        am_sent: AtomicU64::new(0),
-        items_run: AtomicU64::new(0),
-        batches_sent: AtomicU64::new(0),
+        dead: AtomicUsize::new(NO_RANK),
         bar_count: AtomicU64::new(0),
         bar_gen: AtomicU64::new(0),
         epoch: Instant::now(),
@@ -574,7 +578,8 @@ where
             let sh = shared.clone();
             let f = &f;
             scope.spawn(move || {
-                f(RankHandle { sh, me });
+                let _watch = DeathWatch { sh: &sh, me };
+                f(RankHandle { sh: sh.clone(), me });
             });
         }
     });
@@ -757,7 +762,7 @@ mod tests {
                 while seq < per {
                     if seq % 7 == 3 && seq + 3 <= per {
                         let items: Vec<Item> = (0..3).map(|j| mk(seq + j + 1)).collect();
-                        h.send_batch(0, items);
+                        crate::Conduit::send_am_batch(&h, 0, batch_of(items));
                         seq += 3;
                     } else {
                         seq += 1;
@@ -768,10 +773,17 @@ mod tests {
         });
     }
 
+    /// One batch item running `items` in order, as the aggregation layer
+    /// above builds them.
+    fn batch_of(items: Vec<Item>) -> Batch {
+        Batch::Item(Box::new(move || items.into_iter().for_each(|item| item())))
+    }
+
     #[test]
     fn batch_counts_as_one_poll_entry() {
         launch(1, SmpConfig::default(), |h| {
-            h.send_batch(0, (0..4).map(|_| Box::new(|| {}) as Item).collect());
+            let items = (0..4).map(|_| Box::new(|| {}) as Item).collect();
+            crate::Conduit::send_am_batch(&h, 0, batch_of(items));
             h.send_item(0, Box::new(|| {}));
             // The batch is one conduit message: one unit of poll budget.
             assert_eq!(h.poll(1), 1);

@@ -5,6 +5,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every `cargo test` pass runs under a time bound: a hung test (a rank left
+# spinning on a dead peer, say) fails the gate with a message naming the
+# pass instead of stalling CI forever. The bound covers building the test
+# binaries as well as running them.
+TEST_PASS_TIMEOUT_S=1800
+test_pass() {
+  local pass="$1"
+  shift
+  local rc=0
+  timeout --kill-after=30 "$TEST_PASS_TIMEOUT_S" "$@" || rc=$?
+  if [ "$rc" -eq 124 ] || [ "$rc" -eq 137 ]; then
+    echo "ERROR: test pass '$pass' timed out after ${TEST_PASS_TIMEOUT_S}s (a hung test?)" >&2
+    exit 1
+  fi
+  if [ "$rc" -ne 0 ]; then
+    echo "ERROR: test pass '$pass' failed (exit $rc)" >&2
+    exit "$rc"
+  fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -34,31 +54,31 @@ echo "==> tier-1: cargo build --release"
 cargo build --release
 
 echo "==> tier-1: cargo test -q (root package), then the full workspace"
-cargo test -q
-cargo test --workspace -q
+test_pass "tier-1 root package" cargo test -q
+test_pass "workspace" cargo test --workspace -q
 
 echo "==> eager-off pass: full workspace under UPCXX_EAGER=0"
 # The deferred three-queue path must stay a complete, correct implementation
 # — it is the fallback the UPCXX_EAGER knob exists for, and the sim conduit
 # runs it unconditionally.
-UPCXX_EAGER=0 cargo test --workspace -q
+UPCXX_EAGER=0 test_pass "UPCXX_EAGER=0" cargo test --workspace -q
 
 echo "==> sanitizer pass: full workspace under UPCXX_SAN=1 (panic on findings)"
 # Every test must run clean with the PGAS sanitizer enabled in its loudest
 # mode — a data race, restricted-context violation, UAF/OOB or bad free in
 # any existing test is a real bug (in the test or in the sanitizer).
-UPCXX_SAN=1 cargo test --workspace -q
+UPCXX_SAN=1 test_pass "UPCXX_SAN=1" cargo test --workspace -q
 
 echo "==> progress-thread pass: full workspace under UPCXX_PROGRESS=1"
 # Every test must pass with the opt-in progress persona servicing conduit
 # traffic from a dedicated thread — same results, same trace shapes, and
 # (combined with UPCXX_SAN=1) race-free vector-clock updates from both
 # personas.
-UPCXX_PROGRESS=1 cargo test --workspace -q
-UPCXX_PROGRESS=1 UPCXX_SAN=1 cargo test --workspace -q
+UPCXX_PROGRESS=1 test_pass "UPCXX_PROGRESS=1" cargo test --workspace -q
+UPCXX_PROGRESS=1 UPCXX_SAN=1 test_pass "UPCXX_PROGRESS=1 UPCXX_SAN=1" cargo test --workspace -q
 
 echo "==> perfbench unit tests (its own workspace, outside --workspace)"
-cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+test_pass "perfbench unit tests" cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> source lints: legacy grep cross-check of the analyzer's confinement rules"
 # The analyzer is the gate; the original greps stay as an independent
